@@ -3,7 +3,10 @@
 //
 // - trace decode throughput (IPT-style packet stream -> event stream)
 // - ITC-CFG construction throughput
-// - ES-CFG construction (Algorithm 1 + reduction) per device
+// - data collection (trace pass + ITC-CFG + observation pass) per device,
+//   on the device's real training mix
+// - ES-CFG construction (Algorithm 1 + reduction) per device, over the log
+//   that collection produced
 // - reduction statistics: blocks before/after, merged conditionals,
 //   spliced blocks, serialized spec size
 #include <benchmark/benchmark.h>
@@ -63,6 +66,19 @@ void BM_ItcCfgBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ItcCfgBuild)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 
+void BM_Collect(benchmark::State& state, const std::string& device) {
+  auto wl = guest::make_workload(device);
+  size_t rounds = 0;
+  for (auto _ : state) {
+    pipeline::CollectionResult collected =
+        pipeline::collect(wl->device(), [&] { wl->training(); });
+    rounds = collected.log.round_count();
+    benchmark::DoNotOptimize(collected);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rounds));
+}
+
 void BM_EsCfgConstruction(benchmark::State& state,
                           const std::string& device) {
   auto wl = guest::make_workload(device);
@@ -111,8 +127,13 @@ void print_reduction_stats(bench_report::MetricSink& sink) {
 
 int main(int argc, char** argv) {
   for (const std::string& device : guest::workload_names()) {
-    const std::string name = "BM_EsCfgConstruction/" + device;
-    benchmark::RegisterBenchmark(name.c_str(),
+    benchmark::RegisterBenchmark(("BM_Collect/" + device).c_str(),
+                                 [device](benchmark::State& state) {
+                                   BM_Collect(state, device);
+                                 })
+        ->Unit(benchmark::kMicrosecond)
+        ->MinTime(0.05);
+    benchmark::RegisterBenchmark(("BM_EsCfgConstruction/" + device).c_str(),
                                  [device](benchmark::State& state) {
                                    BM_EsCfgConstruction(state, device);
                                  })

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -43,24 +44,37 @@ void log_line(LogLevel level, const std::string& component,
 
 namespace detail {
 
+/// One log line under construction. A line below log_level() formats
+/// nothing: no stream is built and operator<< is a no-op (the operands
+/// themselves are still evaluated by the caller).
 class LogStream {
  public:
-  LogStream(LogLevel level, std::string component)
-      : level_(level), component_(std::move(component)) {}
+  LogStream(LogLevel level, std::string component) : level_(level) {
+    if (level >= log_level()) {
+      component_ = std::move(component);
+      stream_.emplace();
+    }
+  }
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
-  ~LogStream() { log_line(level_, component_, stream_.str()); }
+  ~LogStream() {
+    if (stream_.has_value()) {
+      log_line(level_, component_, stream_->str());
+    }
+  }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    stream_ << value;
+    if (stream_.has_value()) {
+      *stream_ << value;
+    }
     return *this;
   }
 
  private:
   LogLevel level_;
   std::string component_;
-  std::ostringstream stream_;
+  std::optional<std::ostringstream> stream_;
 };
 
 }  // namespace detail

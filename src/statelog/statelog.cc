@@ -6,39 +6,45 @@
 
 namespace sedspec::statelog {
 
-size_t DeviceStateLog::round_count() const {
-  size_t n = 0;
-  for (const LogEntry& e : entries_) {
-    if (e.kind == EntryKind::kRoundStart) {
-      ++n;
+void DeviceStateLog::append(const LogEntry& entry) {
+  const size_t index = entries_.size();
+  entries_.push_back(entry);
+  if (entry.kind == EntryKind::kRoundStart) {
+    ++round_starts_;
+    if (open_round_ != kNoRound && malformed_ == nullptr) {
+      malformed_ = "nested round in state log";
+    }
+    open_round_ = index;
+  } else if (entry.kind == EntryKind::kRoundEnd) {
+    if (open_round_ == kNoRound) {
+      if (malformed_ == nullptr) {
+        malformed_ = "round end without start";
+      }
+    } else {
+      round_bounds_.emplace_back(open_round_, index);
+      open_round_ = kNoRound;
     }
   }
-  return n;
 }
 
 std::vector<DeviceStateLog::RoundView> DeviceStateLog::rounds() const {
+  SEDSPEC_REQUIRE_MSG(malformed_ == nullptr, malformed_);
+  SEDSPEC_REQUIRE_MSG(open_round_ == kNoRound,
+                      "unterminated round in state log");
   std::vector<RoundView> out;
-  size_t begin = 0;
-  bool open = false;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].kind == EntryKind::kRoundStart) {
-      SEDSPEC_REQUIRE_MSG(!open, "nested round in state log");
-      begin = i;
-      open = true;
-    } else if (entries_[i].kind == EntryKind::kRoundEnd) {
-      SEDSPEC_REQUIRE_MSG(open, "round end without start");
-      out.push_back(RoundView{
-          std::span<const LogEntry>(entries_.data() + begin, i - begin + 1)});
-      open = false;
-    }
+  out.reserve(round_bounds_.size());
+  for (const auto& [first, last] : round_bounds_) {
+    out.push_back(RoundView{std::span<const LogEntry>(
+        entries_.data() + first, last - first + 1)});
   }
-  SEDSPEC_REQUIRE_MSG(!open, "unterminated round in state log");
   return out;
 }
 
 void DeviceStateLog::merge(const DeviceStateLog& other) {
-  entries_.insert(entries_.end(), other.entries_.begin(),
-                  other.entries_.end());
+  entries_.reserve(entries_.size() + other.entries_.size());
+  for (const LogEntry& e : other.entries_) {
+    append(e);
+  }
 }
 
 std::vector<uint8_t> DeviceStateLog::serialize() const {
@@ -131,7 +137,7 @@ DeviceStateLog DeviceStateLog::deserialize(std::span<const uint8_t> bytes) {
       default:
         SEDSPEC_CHECK_DECODE(false, "unknown state log entry kind");
     }
-    log.append(std::move(e));
+    log.append(e);
   }
   return log;
 }
@@ -140,7 +146,7 @@ void LogRecorder::round_start(const IoAccess& io) {
   LogEntry e;
   e.kind = EntryKind::kRoundStart;
   e.io = io;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 void LogRecorder::site_enter(SiteId site, BlockKind kind) {
@@ -152,7 +158,7 @@ void LogRecorder::site_enter(SiteId site, BlockKind kind) {
   e.kind = EntryKind::kSiteEnter;
   e.site = site;
   e.block_kind = kind;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 void LogRecorder::branch(SiteId site, bool taken) {
@@ -160,7 +166,7 @@ void LogRecorder::branch(SiteId site, bool taken) {
   e.kind = EntryKind::kBranch;
   e.site = site;
   e.taken = taken;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 void LogRecorder::indirect(SiteId site, FuncAddr target) {
@@ -168,7 +174,7 @@ void LogRecorder::indirect(SiteId site, FuncAddr target) {
   e.kind = EntryKind::kIndirect;
   e.site = site;
   e.target = target;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 void LogRecorder::command(SiteId site, uint64_t cmd) {
@@ -176,14 +182,14 @@ void LogRecorder::command(SiteId site, uint64_t cmd) {
   e.kind = EntryKind::kCommand;
   e.site = site;
   e.cmd = cmd;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 void LogRecorder::command_end(SiteId site) {
   LogEntry e;
   e.kind = EntryKind::kCommandEnd;
   e.site = site;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 void LogRecorder::param_change(ParamId param, uint64_t old_raw,
@@ -193,13 +199,13 @@ void LogRecorder::param_change(ParamId param, uint64_t old_raw,
   e.param = param;
   e.old_value = old_raw;
   e.new_value = new_raw;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 void LogRecorder::round_end() {
   LogEntry e;
   e.kind = EntryKind::kRoundEnd;
-  log_.append(std::move(e));
+  log_.append(e);
 }
 
 std::string to_text(const DeviceStateLog& log,

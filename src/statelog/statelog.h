@@ -16,6 +16,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -42,32 +43,43 @@ enum class EntryKind : uint8_t {
   kRoundEnd,
 };
 
+// Members are ordered widest-first so the entry has no interior padding: a
+// training log holds ~10^5 entries, so every byte here is ~100 KB of log.
 struct LogEntry {
-  EntryKind kind = EntryKind::kRoundStart;
   IoAccess io;                    // kRoundStart
-  SiteId site = 0;                // kSiteEnter/kBranch/kIndirect/kCommand/kCommandEnd
-  BlockKind block_kind = BlockKind::kPlain;  // kSiteEnter
-  bool taken = false;             // kBranch
   FuncAddr target = 0;            // kIndirect
   uint64_t cmd = 0;               // kCommand
-  ParamId param = 0;              // kParamChange
   uint64_t old_value = 0;         // kParamChange
   uint64_t new_value = 0;         // kParamChange
+  SiteId site = 0;                // kSiteEnter/kBranch/kIndirect/kCommand/kCommandEnd
+  ParamId param = 0;              // kParamChange
+  EntryKind kind = EntryKind::kRoundStart;
+  BlockKind block_kind = BlockKind::kPlain;  // kSiteEnter
+  bool taken = false;             // kBranch
 
   friend bool operator==(const LogEntry&, const LogEntry&) = default;
 };
+static_assert(sizeof(LogEntry) == 80,
+              "LogEntry gained padding; keep members widest-first");
 
-/// One training run's log: a flat entry sequence plus round boundaries.
+/// One training run's log: a flat entry sequence plus round boundaries,
+/// which are recorded as entries are appended (no pass over the log is
+/// needed to count or split rounds).
 class DeviceStateLog {
  public:
-  void append(LogEntry entry) { entries_.push_back(std::move(entry)); }
+  void append(const LogEntry& entry);
+  /// Pre-sizes the entry storage; growth past `entries` still works.
+  void reserve(size_t entries) { entries_.reserve(entries); }
 
   [[nodiscard]] const std::vector<LogEntry>& entries() const {
     return entries_;
   }
-  [[nodiscard]] size_t round_count() const;
+  /// Number of round-start entries (terminated or not).
+  [[nodiscard]] size_t round_count() const { return round_starts_; }
 
-  /// Views of [begin, end) entry index ranges, one per round.
+  /// Views of [begin, end) entry index ranges, one per round. Throws
+  /// std::logic_error when the log nests rounds, ends a round that never
+  /// started, or leaves the last round unterminated.
   struct RoundView {
     std::span<const LogEntry> entries;
     [[nodiscard]] const IoAccess& io() const { return entries.front().io; }
@@ -82,7 +94,14 @@ class DeviceStateLog {
       std::span<const uint8_t> bytes);
 
  private:
+  static constexpr size_t kNoRound = static_cast<size_t>(-1);
+
   std::vector<LogEntry> entries_;
+  // Closed rounds as [first, last] entry indices, in log order.
+  std::vector<std::pair<size_t, size_t>> round_bounds_;
+  size_t round_starts_ = 0;
+  size_t open_round_ = kNoRound;  // index of an unterminated round start
+  const char* malformed_ = nullptr;  // first structural defect seen
 };
 
 /// The StateObserver a device's instrumentation context writes into while
@@ -94,6 +113,9 @@ class LogRecorder final : public sedspec::StateObserver {
   /// observation points). Non-plain sites (control-flow-relevant) are
   /// always recorded. Pass nullptr to record everything.
   void set_site_filter(const std::set<SiteId>* filter) { filter_ = filter; }
+
+  /// Pre-sizes the log (see DeviceStateLog::reserve).
+  void reserve(size_t entries) { log_.reserve(entries); }
 
   // StateObserver -----------------------------------------------------------
   void round_start(const IoAccess& io) override;

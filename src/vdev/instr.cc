@@ -1,5 +1,7 @@
 #include "vdev/instr.h"
 
+#include <cstring>
+
 #include "common/assert.h"
 #include "common/log.h"
 
@@ -12,6 +14,21 @@ InstrumentationContext::InstrumentationContext(
       arena_(arena),
       incident_fn_(std::move(incident_fn)) {
   SEDSPEC_REQUIRE(program != nullptr && arena != nullptr);
+  const StateLayout& layout = program->layout();
+  SEDSPEC_REQUIRE(arena->bytes().size() == layout.arena_size());
+  for (size_t i = 0; i < layout.field_count(); ++i) {
+    const FieldDesc& f = layout.field(static_cast<ParamId>(i));
+    if (!f.is_buffer()) {
+      scalars_.push_back({static_cast<ParamId>(i), f.offset, f.size});
+    }
+  }
+}
+
+void InstrumentationContext::set_observer(StateObserver* observer) {
+  observer_ = observer;
+  if (observer_ != nullptr) {
+    snapshot_state();
+  }
 }
 
 void InstrumentationContext::bind_function(FuncAddr addr,
@@ -30,7 +47,7 @@ void InstrumentationContext::begin_round(const IoAccess& io) {
   }
   if (observer_ != nullptr) {
     observer_->round_start(io);
-    snapshot_scalars();
+    snapshot_state();
   }
 }
 
@@ -50,27 +67,53 @@ const IoAccess& InstrumentationContext::io() const {
   return *io_;
 }
 
-void InstrumentationContext::snapshot_scalars() {
-  const StateLayout& layout = program_->layout();
-  scalar_snapshot_.resize(layout.field_count());
-  for (size_t i = 0; i < layout.field_count(); ++i) {
-    const FieldDesc& f = layout.field(static_cast<ParamId>(i));
-    scalar_snapshot_[i] = f.is_buffer() ? 0 : arena_->param(static_cast<ParamId>(i));
+void InstrumentationContext::snapshot_state() {
+  const std::span<const uint8_t> bytes = arena_->bytes();
+  snapshot_.assign(bytes.begin(), bytes.end());
+}
+
+namespace {
+
+/// Little-endian raw value of a scalar field, as StateArena::param() reads
+/// it, with the common widths as fixed-size loads.
+uint64_t load_field(const uint8_t* p, uint32_t size) {
+  switch (size) {
+    case 1:
+      return *p;
+    case 2: {
+      uint16_t v;
+      std::memcpy(&v, p, 2);
+      return v;
+    }
+    case 4: {
+      uint32_t v;
+      std::memcpy(&v, p, 4);
+      return v;
+    }
+    case 8: {
+      uint64_t v;
+      std::memcpy(&v, p, 8);
+      return v;
+    }
+    default: {
+      uint64_t v = 0;
+      std::memcpy(&v, p, size);
+      return v;
+    }
   }
 }
 
+}  // namespace
+
 void InstrumentationContext::diff_scalars() {
-  const StateLayout& layout = program_->layout();
-  for (size_t i = 0; i < layout.field_count(); ++i) {
-    const FieldDesc& f = layout.field(static_cast<ParamId>(i));
-    if (f.is_buffer()) {
-      continue;
-    }
-    const uint64_t now = arena_->param(static_cast<ParamId>(i));
-    if (now != scalar_snapshot_[i]) {
-      observer_->param_change(static_cast<ParamId>(i), scalar_snapshot_[i],
-                              now);
-      scalar_snapshot_[i] = now;
+  const uint8_t* now = arena_->bytes().data();
+  uint8_t* then = snapshot_.data();
+  for (const ScalarField& f : scalars_) {
+    const uint64_t new_raw = load_field(now + f.offset, f.size);
+    const uint64_t old_raw = load_field(then + f.offset, f.size);
+    if (new_raw != old_raw) {
+      std::memcpy(then + f.offset, now + f.offset, f.size);
+      observer_->param_change(f.id, old_raw, new_raw);
     }
   }
 }

@@ -63,7 +63,7 @@ class InstrumentationContext {
 
   // --- Wiring -------------------------------------------------------------
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
-  void set_observer(StateObserver* observer) { observer_ = observer; }
+  void set_observer(StateObserver* observer);
   [[nodiscard]] bool observed() const { return observer_ != nullptr; }
 
   /// Registers the runnable body for a program function address.
@@ -113,8 +113,15 @@ class InstrumentationContext {
   void exec_dsod(const SiteDesc& site,
                  const std::function<void(std::span<uint8_t>)>* fill);
   void enter_site(const SiteDesc& site);
-  void snapshot_scalars();
+  void snapshot_state();
   void diff_scalars();
+
+  /// A scalar field of the layout, resolved once for observer diffing.
+  struct ScalarField {
+    ParamId id;
+    uint32_t offset;
+    uint32_t size;
+  };
 
   const DeviceProgram* program_;
   StateArena* arena_;
@@ -123,8 +130,10 @@ class InstrumentationContext {
   StateObserver* observer_ = nullptr;
   std::map<FuncAddr, std::function<void()>> functions_;
   std::optional<IoAccess> io_;
-  // Scalar snapshot for observer param-change diffing.
-  std::vector<uint64_t> scalar_snapshot_;
+  // Observer param-change diffing: every scalar field in field order, and
+  // the arena bytes as of the last diff.
+  std::vector<ScalarField> scalars_;
+  std::vector<uint8_t> snapshot_;
 };
 
 /// RAII guard for one I/O interaction round.

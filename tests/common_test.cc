@@ -26,6 +26,28 @@ TEST(Log, ParseLevelAcceptsNamesDigitsAndCase) {
   EXPECT_EQ(parse_log_level("5", LogLevel::kInfo), LogLevel::kInfo);
 }
 
+// Counts how often a log line formats it.
+struct FormatCounter {
+  int* formatted;
+};
+std::ostream& operator<<(std::ostream& os, const FormatCounter& c) {
+  ++*c.formatted;
+  return os << "counted";
+}
+
+TEST(Log, LinesBelowTheLevelFormatNothing) {
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kError);
+  int formatted = 0;
+  log_debug("test") << FormatCounter{&formatted};
+  log_info("test") << FormatCounter{&formatted};
+  log_warn("test") << FormatCounter{&formatted} << 42;
+  EXPECT_EQ(formatted, 0);
+  log_error("test") << FormatCounter{&formatted};
+  EXPECT_EQ(formatted, 1);
+  set_log_level(saved);
+}
+
 TEST(Log, MonotonicTimebaseNeverGoesBackwards) {
   const uint64_t a = monotonic_ns();
   const uint64_t b = monotonic_ns();

@@ -102,5 +102,81 @@ TEST(StateLog, MalformedRoundStructureThrows) {
   EXPECT_THROW((void)log.rounds(), std::logic_error);
 }
 
+DeviceStateLog two_round_log(SiteId first_site) {
+  LogRecorder rec;
+  for (SiteId s = first_site; s < first_site + 2; ++s) {
+    rec.round_start(sample_io());
+    rec.site_enter(s, BlockKind::kPlain);
+    rec.param_change(1, s, s + 1);
+    rec.round_end();
+  }
+  return rec.take();
+}
+
+void expect_round_sites(const DeviceStateLog& log,
+                        const std::vector<SiteId>& sites) {
+  const auto rounds = log.rounds();
+  ASSERT_EQ(rounds.size(), sites.size());
+  ASSERT_EQ(log.round_count(), sites.size());
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    ASSERT_EQ(rounds[i].entries.size(), 4u);
+    EXPECT_EQ(rounds[i].entries.front().kind, EntryKind::kRoundStart);
+    EXPECT_EQ(rounds[i].entries[1].site, sites[i]);
+    EXPECT_EQ(rounds[i].entries.back().kind, EntryKind::kRoundEnd);
+  }
+}
+
+TEST(StateLog, RoundBoundariesSurviveMergeAndDeserialize) {
+  DeviceStateLog merged = two_round_log(10);
+  merged.merge(two_round_log(20));
+  expect_round_sites(merged, {10, 11, 20, 21});
+  const DeviceStateLog restored =
+      DeviceStateLog::deserialize(merged.serialize());
+  EXPECT_EQ(restored.entries(), merged.entries());
+  expect_round_sites(restored, {10, 11, 20, 21});
+}
+
+TEST(StateLog, MergeOntoOpenRoundIsNested) {
+  DeviceStateLog log;
+  statelog::LogEntry start;
+  start.kind = EntryKind::kRoundStart;
+  log.append(start);  // left open
+  log.merge(two_round_log(0));
+  EXPECT_EQ(log.round_count(), 3u);
+  EXPECT_THROW((void)log.rounds(), std::logic_error);
+}
+
+TEST(StateLog, RoundEndWithoutStartThrows) {
+  DeviceStateLog log = two_round_log(0);
+  statelog::LogEntry end;
+  end.kind = EntryKind::kRoundEnd;
+  log.append(end);
+  EXPECT_THROW((void)log.rounds(), std::logic_error);
+  // A later well-formed round does not clear the defect.
+  log.merge(two_round_log(5));
+  EXPECT_THROW((void)log.rounds(), std::logic_error);
+}
+
+TEST(StateLog, UnterminatedRoundThrowsUntilClosed) {
+  LogRecorder rec;
+  rec.round_start(sample_io());
+  rec.site_enter(1, BlockKind::kPlain);
+  EXPECT_EQ(rec.log().round_count(), 1u);
+  EXPECT_THROW((void)rec.log().rounds(), std::logic_error);
+  rec.round_end();
+  EXPECT_EQ(rec.log().rounds().size(), 1u);
+}
+
+TEST(StateLog, DeserializedMalformedLogStillThrows) {
+  DeviceStateLog log;
+  statelog::LogEntry start;
+  start.kind = EntryKind::kRoundStart;
+  log.append(start);
+  log.append(start);  // nested round survives the wire format
+  const DeviceStateLog restored = DeviceStateLog::deserialize(log.serialize());
+  EXPECT_EQ(restored.round_count(), 2u);
+  EXPECT_THROW((void)restored.rounds(), std::logic_error);
+}
+
 }  // namespace
 }  // namespace sedspec

@@ -185,6 +185,95 @@ TEST(Instrumentation, TraceAndObserveStreams) {
   EXPECT_TRUE(saw_param_change);
 }
 
+// A device whose every write runs one site: the fixture for observer diff
+// edge cases. Layout: a 4-byte buffer directly followed by a u32 scalar
+// (so element 4 of the buffer is the scalar's low byte), then a u16.
+struct DiffDevice final : Device {
+  static std::unique_ptr<DeviceProgram> make_program(
+      const std::function<StmtList(ParamId buf, ParamId wide, ParamId tail)>&
+          dsod) {
+    StateLayout layout("Diff");
+    const ParamId buf = layout.add_buffer("buf", 1, 4);
+    const ParamId wide = layout.add_scalar("wide", FieldKind::kOther,
+                                           IntType::kU32);
+    const ParamId tail = layout.add_scalar("tail", FieldKind::kOther,
+                                           IntType::kU16);
+    auto program =
+        std::make_unique<DeviceProgram>("diff", std::move(layout), 0xa000);
+    program->add_plain("run", dsod(buf, wide, tail));
+    return program;
+  }
+
+  explicit DiffDevice(std::unique_ptr<DeviceProgram> p)
+      : Device(p.get()), program_storage(std::move(p)) {
+    reset();
+  }
+  void reset_device() override {}
+  uint64_t io_read(const IoAccess&) override { return 0; }
+  void io_write(const IoAccess& io) override {
+    IoRound round(ictx(), io);
+    ictx().block(0);
+  }
+
+  /// Runs one observed write round; returns its param-change entries.
+  std::vector<statelog::LogEntry> observe_write() {
+    statelog::LogRecorder rec;
+    ictx().set_observer(&rec);
+    IoAccess io;
+    io.is_write = true;
+    io_write(io);
+    ictx().set_observer(nullptr);
+    std::vector<statelog::LogEntry> changes;
+    for (const auto& e : rec.log().entries()) {
+      if (e.kind == statelog::EntryKind::kParamChange) {
+        changes.push_back(e);
+      }
+    }
+    return changes;
+  }
+
+  std::unique_ptr<DeviceProgram> program_storage;
+};
+
+TEST(Instrumentation, OutOfBoundsStoreReportsCorruptedNeighbor) {
+  ParamId wide = kInvalidParam;
+  DiffDevice dev(DiffDevice::make_program([&](ParamId buf, ParamId w,
+                                              ParamId) {
+    wide = w;
+    return StmtList{sb::buf_store(buf, eb::c(4), eb::c(0x41, IntType::kU8))};
+  }));
+  const auto changes = dev.observe_write();
+  EXPECT_TRUE(dev.has_incident(IncidentKind::kOobWrite));
+  ASSERT_EQ(changes.size(), 1u);
+  EXPECT_EQ(changes[0].param, wide);
+  EXPECT_EQ(changes[0].old_value, 0u);
+  EXPECT_EQ(changes[0].new_value, 0x41u);
+}
+
+TEST(Instrumentation, PartialByteChangeReportsWholeFieldValues) {
+  ParamId wide = kInvalidParam;
+  ParamId tail = kInvalidParam;
+  DiffDevice dev(DiffDevice::make_program([&](ParamId, ParamId w, ParamId t) {
+    wide = w;
+    tail = t;
+    // Only the third byte of `wide` and the high byte of `tail` change.
+    return StmtList{sb::assign(w, eb::c(0x11993344, IntType::kU32)),
+                    sb::assign(t, eb::c(0x9922, IntType::kU16))};
+  }));
+  dev.state().set(wide, 0x11223344);
+  dev.state().set(tail, 0x1122);
+  const auto changes = dev.observe_write();
+  ASSERT_EQ(changes.size(), 2u);  // one DSOD, emitted in field order
+  EXPECT_EQ(changes[0].param, wide);
+  EXPECT_EQ(changes[0].old_value, 0x11223344u);
+  EXPECT_EQ(changes[0].new_value, 0x11993344u);
+  EXPECT_EQ(changes[1].param, tail);
+  EXPECT_EQ(changes[1].old_value, 0x1122u);
+  EXPECT_EQ(changes[1].new_value, 0x9922u);
+  // An unchanged rerun of the same DSOD reports nothing.
+  EXPECT_TRUE(dev.observe_write().empty());
+}
+
 TEST(Instrumentation, NestedRoundRejected) {
   CounterDevice dev;
   IoAccess io;
