@@ -13,6 +13,8 @@
 //
 // The replay is validated differentially as it runs: both engines must
 // produce the same violation and traversal-step totals, or the bench fails.
+// The step total per check is also exported (steps_per_check_<device>):
+// unlike the timings it is exact, so the baseline gate pins it.
 //
 // Usage: bench_compiled_checker [--smoke]
 //   full mode additionally enforces the acceptance bars (every speedup
@@ -182,6 +184,12 @@ int main(int argc, char** argv) {
     sink.put("check_ns_interpreter_" + tag, ir.best_ns);
     sink.put("check_ns_bytecode_" + tag, br.best_ns);
     sink.put("speedup_" + tag, speedup);
+    // ES-CFG blocks walked per check: a deterministic work count (same
+    // spec, same recorded stream), gated exactly where the timings above
+    // need wide tolerances.
+    sink.put("steps_per_check_" + tag,
+             static_cast<double>(br.steps) /
+                 static_cast<double>(rec.log.size()));
     sum_interp += ir.best_ns;
     sum_byte += br.best_ns;
     ++devices;

@@ -1,5 +1,5 @@
 // BytecodeEngine implementation: spec -> flat bytecode compiler, structural
-// verifier, SEBC (de)serializer, and the threaded-code VM.
+// verifier, and the threaded-code VM.
 //
 // The compiler and VM are written against one contract: observational
 // identity with InterpreterEngine (and therefore expr/eval.cc). Comments
@@ -8,14 +8,12 @@
 #include "checker/engine/bytecode.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "checker/engine/vm_int.h"
 #include "common/assert.h"
-#include "common/bytes.h"
-#include "common/crc32.h"
 #include "common/decode.h"
 #include "expr/type.h"
 #include "obs/trace.h"
@@ -1165,267 +1163,6 @@ void verify_program(const BytecodeProgram& p, const sedspec::StateLayout& layout
 }
 
 // ---------------------------------------------------------------------------
-// Serialization ("SEBC" envelope, mirroring spec/serial.h's integrity chain).
-// ---------------------------------------------------------------------------
-
-std::vector<uint8_t> serialize(const BytecodeProgram& p) {
-  ByteWriter w;
-  w.str(p.device_name);
-  w.u32(p.reg_count);
-  w.u32(static_cast<uint32_t>(p.code.size()));
-  for (const Insn& ins : p.code) {
-    w.u8(ins.op);
-    w.u8(ins.t);
-    w.u16(ins.dst);
-    w.u16(ins.a);
-    w.u16(ins.b);
-    w.u32(ins.c);
-    w.u64(ins.imm);
-  }
-  w.u32(static_cast<uint32_t>(p.blocks.size()));
-  for (const BlockMeta& b : p.blocks) {
-    w.str(b.name);
-    w.u16(b.site);
-    w.u64(b.trained_max);
-    w.u64(b.visit_bound);
-  }
-  w.u32(static_cast<uint32_t>(p.notes.size()));
-  for (const std::string& n : p.notes) {
-    w.str(n);
-  }
-  w.u32(static_cast<uint32_t>(p.consts.size()));
-  for (const uint64_t v : p.consts) {
-    w.u64(v);
-  }
-  w.u32(static_cast<uint32_t>(p.sync_pool.size()));
-  for (const LocalId l : p.sync_pool) {
-    w.u16(l);
-  }
-  w.u32(static_cast<uint32_t>(p.tables.size()));
-  for (const DispatchTable& t : p.tables) {
-    w.u32(static_cast<uint32_t>(t.entries.size()));
-    for (const DispatchEntry& e : t.entries) {
-      w.u64(e.cmd);
-      w.u32(e.pc);
-      w.u32(e.access_idx);
-    }
-  }
-  w.u32(static_cast<uint32_t>(p.edges.size()));
-  for (const EdgeSet& s : p.edges) {
-    w.u8(s.kind);
-    w.u64(s.base);
-    w.u32(static_cast<uint32_t>(s.words.size()));
-    for (const uint64_t v : s.words) {
-      w.u64(v);
-    }
-    w.u32(static_cast<uint32_t>(s.sorted.size()));
-    for (const uint64_t v : s.sorted) {
-      w.u64(v);
-    }
-  }
-  w.u32(static_cast<uint32_t>(p.batch_pool.size()));
-  for (const BatchEntry& e : p.batch_pool) {
-    w.u16(e.idx_reg);
-    w.u16(e.val_reg);
-    w.u16(e.param);
-    w.u32(e.limit);
-  }
-  w.u32(static_cast<uint32_t>(p.cmd_values.size()));
-  for (const uint64_t v : p.cmd_values) {
-    w.u64(v);
-  }
-  w.u32(p.words_per_block);
-  w.u32(static_cast<uint32_t>(p.access_words.size()));
-  for (const uint64_t v : p.access_words) {
-    w.u64(v);
-  }
-  for (const EntryGroup& g : p.entry) {
-    w.u8(g.dense ? 1 : 0);
-    w.u64(g.base);
-    w.u32(static_cast<uint32_t>(g.table.size()));
-    for (const uint32_t v : g.table) {
-      w.u32(v);
-    }
-    w.u32(static_cast<uint32_t>(g.addrs.size()));
-    for (const uint64_t v : g.addrs) {
-      w.u64(v);
-    }
-    w.u32(static_cast<uint32_t>(g.pcs.size()));
-    for (const uint32_t v : g.pcs) {
-      w.u32(v);
-    }
-  }
-
-  const std::vector<uint8_t>& payload = w.bytes();
-  ByteWriter out;
-  out.u32(kBytecodeMagic);
-  out.u32(kBytecodeFormatVersion);
-  out.u32(static_cast<uint32_t>(payload.size()));
-  out.u32(crc32(payload));
-  std::vector<uint8_t> bytes = out.take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return bytes;
-}
-
-namespace {
-
-uint32_t get_u32_at(std::span<const uint8_t> bytes, size_t at) {
-  uint32_t v = 0;
-  std::memcpy(&v, bytes.data() + at, sizeof(v));
-  return v;
-}
-
-BytecodeProgram decode_payload(ByteReader& r) {
-  BytecodeProgram p;
-  p.device_name = r.str();
-  p.reg_count = r.u32();
-  const uint32_t code_count = r.u32();
-  for (uint32_t i = 0; i < code_count; ++i) {
-    Insn ins;
-    ins.op = r.u8();
-    ins.t = r.u8();
-    ins.dst = r.u16();
-    ins.a = r.u16();
-    ins.b = r.u16();
-    ins.c = r.u32();
-    ins.imm = r.u64();
-    p.code.push_back(ins);
-  }
-  const uint32_t block_count = r.u32();
-  for (uint32_t i = 0; i < block_count; ++i) {
-    BlockMeta b;
-    b.name = r.str();
-    b.site = r.u16();
-    b.trained_max = r.u64();
-    b.visit_bound = r.u64();
-    p.blocks.push_back(std::move(b));
-  }
-  const uint32_t note_count = r.u32();
-  for (uint32_t i = 0; i < note_count; ++i) {
-    p.notes.push_back(r.str());
-  }
-  const uint32_t const_count = r.u32();
-  for (uint32_t i = 0; i < const_count; ++i) {
-    p.consts.push_back(r.u64());
-  }
-  const uint32_t sync_count = r.u32();
-  for (uint32_t i = 0; i < sync_count; ++i) {
-    p.sync_pool.push_back(r.u16());
-  }
-  const uint32_t table_count = r.u32();
-  for (uint32_t i = 0; i < table_count; ++i) {
-    DispatchTable t;
-    const uint32_t entry_count = r.u32();
-    for (uint32_t j = 0; j < entry_count; ++j) {
-      DispatchEntry e;
-      e.cmd = r.u64();
-      e.pc = r.u32();
-      e.access_idx = r.u32();
-      t.entries.push_back(e);
-    }
-    p.tables.push_back(std::move(t));
-  }
-  const uint32_t edge_count = r.u32();
-  for (uint32_t i = 0; i < edge_count; ++i) {
-    EdgeSet s;
-    s.kind = r.u8();
-    SEDSPEC_CHECK_DECODE(s.kind <= EdgeSet::kSorted, "edge set kind invalid");
-    s.base = r.u64();
-    const uint32_t word_count = r.u32();
-    for (uint32_t j = 0; j < word_count; ++j) {
-      s.words.push_back(r.u64());
-    }
-    const uint32_t sorted_count = r.u32();
-    for (uint32_t j = 0; j < sorted_count; ++j) {
-      s.sorted.push_back(r.u64());
-    }
-    p.edges.push_back(std::move(s));
-  }
-  const uint32_t batch_count = r.u32();
-  for (uint32_t i = 0; i < batch_count; ++i) {
-    BatchEntry e;
-    e.idx_reg = r.u16();
-    e.val_reg = r.u16();
-    e.param = r.u16();
-    e.limit = r.u32();
-    p.batch_pool.push_back(e);
-  }
-  const uint32_t cmd_count = r.u32();
-  for (uint32_t i = 0; i < cmd_count; ++i) {
-    p.cmd_values.push_back(r.u64());
-  }
-  p.words_per_block = r.u32();
-  const uint32_t access_count = r.u32();
-  for (uint32_t i = 0; i < access_count; ++i) {
-    p.access_words.push_back(r.u64());
-  }
-  for (EntryGroup& g : p.entry) {
-    g.dense = r.u8() != 0;
-    g.base = r.u64();
-    const uint32_t table_size = r.u32();
-    for (uint32_t j = 0; j < table_size; ++j) {
-      g.table.push_back(r.u32());
-    }
-    const uint32_t addr_count = r.u32();
-    for (uint32_t j = 0; j < addr_count; ++j) {
-      g.addrs.push_back(r.u64());
-    }
-    const uint32_t pc_count = r.u32();
-    for (uint32_t j = 0; j < pc_count; ++j) {
-      g.pcs.push_back(r.u32());
-    }
-  }
-  return p;
-}
-
-}  // namespace
-
-BytecodeLoadResult load_program(std::span<const uint8_t> bytes) {
-  BytecodeLoadResult result;
-  if (bytes.size() < 16) {
-    result.error = {spec::LoadStatus::kTooShort,
-                    "buffer smaller than the SEBC envelope"};
-    return result;
-  }
-  const uint32_t magic = get_u32_at(bytes, 0);
-  if (magic != kBytecodeMagic) {
-    result.error = {spec::LoadStatus::kBadMagic,
-                    "not a bytecode-program artifact"};
-    return result;
-  }
-  const uint32_t version = get_u32_at(bytes, 4);
-  if (version != kBytecodeFormatVersion) {
-    result.error = {spec::LoadStatus::kVersionSkew,
-                    "bytecode format version " + std::to_string(version) +
-                        " (expected " +
-                        std::to_string(kBytecodeFormatVersion) + ")"};
-    return result;
-  }
-  const uint32_t payload_len = get_u32_at(bytes, 8);
-  if (payload_len != bytes.size() - 16) {
-    result.error = {spec::LoadStatus::kLengthMismatch,
-                    "envelope payload length does not match buffer"};
-    return result;
-  }
-  const std::span<const uint8_t> payload = bytes.subspan(16);
-  const uint32_t crc = get_u32_at(bytes, 12);
-  if (crc32(payload) != crc) {
-    result.error = {spec::LoadStatus::kCrcMismatch,
-                    "payload failed CRC32 integrity check"};
-    return result;
-  }
-  try {
-    ByteReader r(payload);
-    BytecodeProgram p = decode_payload(r);
-    SEDSPEC_CHECK_DECODE(r.done(), "trailing bytes after payload");
-    result.program = std::make_shared<const BytecodeProgram>(std::move(p));
-  } catch (const DecodeError& e) {
-    result.error = {spec::LoadStatus::kMalformed, e.what()};
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
 // The VM.
 // ---------------------------------------------------------------------------
 
@@ -1435,36 +1172,31 @@ using sedspec::EvalDiag;
 using sedspec::IntType;
 using sedspec::IoField;
 
-/// Raw 64-bit two's-complement pattern of an operand's interpreted value
-/// (eval.cc's pattern_of).
-inline uint64_t vm_pattern(IntType t, uint64_t raw) {
-  return static_cast<uint64_t>(
-      static_cast<unsigned __int128>(sedspec::interpret(t, raw)));
-}
+#define VM_INLINE [[gnu::always_inline]] inline
 
 /// One binary AST node, replicating eval_binary() exactly — including the
 /// overflow-recording order, eager &&/||, raw (untruncated) comparison
 /// results, and the shift-range rule. Instantiated once per operator so the
 /// per-opcode VM labels stay free of a second dispatch.
 template <sedspec::BinaryOp OP>
-inline void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
+VM_INLINE void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
   using sedspec::BinaryOp;
   const auto res = static_cast<IntType>(ins.c & 7);
   const auto lt = static_cast<IntType>((ins.c >> 8) & 7);
   const auto rt = static_cast<IntType>((ins.c >> 16) & 7);
   const uint64_t lraw = regs[ins.a];
   const uint64_t rraw = regs[ins.b];
-  const __int128 lv = sedspec::interpret(lt, lraw);
-  const __int128 rv = sedspec::interpret(rt, rraw);
+  const __int128 lv = vm_interp(lt, lraw);
+  const __int128 rv = vm_interp(rt, rraw);
   const auto arith = [&](__int128 truth) {
-    if (!sedspec::representable(res, truth)) {
+    if (!vm_repr(res, truth)) {
       diag.record(EvalDiag::Kind::kIntegerOverflow);
       if (diag.kind == EvalDiag::Kind::kIntegerOverflow &&
           diag.note.empty()) {
         diag.type = res;
       }
     }
-    return sedspec::wrap_to(res, truth);
+    return vm_wrap(res, truth);
   };
   uint64_t out = 0;
   if constexpr (OP == BinaryOp::kAdd) {
@@ -1481,25 +1213,25 @@ inline void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
       out = arith(OP == BinaryOp::kDiv ? lv / rv : lv % rv);
     }
   } else if constexpr (OP == BinaryOp::kAnd) {
-    out = sedspec::truncate_to(res, vm_pattern(lt, lraw) & vm_pattern(rt, rraw));
+    out = vm_trunc(res, vm_pattern(lt, lraw) & vm_pattern(rt, rraw));
   } else if constexpr (OP == BinaryOp::kOr) {
-    out = sedspec::truncate_to(res, vm_pattern(lt, lraw) | vm_pattern(rt, rraw));
+    out = vm_trunc(res, vm_pattern(lt, lraw) | vm_pattern(rt, rraw));
   } else if constexpr (OP == BinaryOp::kXor) {
-    out = sedspec::truncate_to(res, vm_pattern(lt, lraw) ^ vm_pattern(rt, rraw));
+    out = vm_trunc(res, vm_pattern(lt, lraw) ^ vm_pattern(rt, rraw));
   } else if constexpr (OP == BinaryOp::kShl) {
     const uint64_t amount = static_cast<uint64_t>(rv) & 63;
-    if (rv < 0 || rv >= sedspec::bits_of(res)) {
+    if (rv < 0 || rv >= vm_bits(res)) {
       diag.record(EvalDiag::Kind::kShiftOutOfRange);
       diag.type = res;
     }
     out = arith(lv * (static_cast<__int128>(1) << amount));
   } else if constexpr (OP == BinaryOp::kShr) {
     const uint64_t amount = static_cast<uint64_t>(rv) & 63;
-    if (rv < 0 || rv >= sedspec::bits_of(res)) {
+    if (rv < 0 || rv >= vm_bits(res)) {
       diag.record(EvalDiag::Kind::kShiftOutOfRange);
       diag.type = res;
     }
-    out = sedspec::wrap_to(res, lv >> amount);
+    out = vm_wrap(res, lv >> amount);
   } else if constexpr (OP == BinaryOp::kEq) {
     out = lv == rv ? 1 : 0;
   } else if constexpr (OP == BinaryOp::kNe) {
@@ -1523,11 +1255,11 @@ inline void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
 /// kGuardCmpBranch operand fetch + interpret. Matches an interpreter round
 /// that evaluated the operand expression then interpreted it with its
 /// declared type (interpret() truncates first, so the compose is exact).
-inline __int128 vm_guard_operand(const BytecodeProgram& p,
-                                 const sedspec::StateArena& shadow,
-                                 const IoAccess& io, uint16_t spec,
-                                 const uint32_t* scalar_off,
-                                 const uint8_t* scalar_w, size_t scalar_n) {
+VM_INLINE __int128 vm_guard_operand(const BytecodeProgram& p,
+                                    const sedspec::StateArena& shadow,
+                                    const IoAccess& io, uint16_t spec,
+                                    const uint32_t* scalar_off,
+                                    const uint8_t* scalar_w, size_t scalar_n) {
   const unsigned kind = spec >> 14;
   const auto t = static_cast<IntType>((spec >> 11) & 7);
   const uint16_t id = spec & 0x7ff;
@@ -1562,7 +1294,7 @@ inline __int128 vm_guard_operand(const BytecodeProgram& p,
         break;
     }
   }
-  return sedspec::interpret(t, raw);
+  return vm_interp(t, raw);
 }
 
 }  // namespace
@@ -1607,13 +1339,41 @@ void BytecodeEngine::attach() {
   const sedspec::StateLayout& layout = shadow_->layout();
   guard_off_.assign(layout.field_count(), 0);
   guard_w_.assign(layout.field_count(), 0);
+  // Buffer fields likewise get an in-bounds fast path for single-element
+  // loads and stores; count stays 0 (always the generic path) for scalars
+  // and for element widths load_scalar/store_scalar do not cover.
+  buf_fields_.assign(layout.field_count(), BufField{});
   for (size_t i = 0; i < layout.field_count(); ++i) {
     const sedspec::FieldDesc& f = layout.field(static_cast<ParamId>(i));
     if (!f.is_buffer() && f.size >= 1 && f.size <= 8) {
       guard_off_[i] = f.offset;
       guard_w_[i] = static_cast<uint8_t>(f.size);
     }
+    if (f.is_buffer() && f.elem_size >= 1 && f.elem_size <= 8) {
+      buf_fields_[i] = BufField{f.offset, f.count, f.elem_size};
+    }
   }
+}
+
+VM_INLINE const BytecodeEngine::BufField* BytecodeEngine::in_bounds(
+    uint32_t id, uint64_t index) const {
+  return id < buf_fields_.size() && index < buf_fields_[id].count
+             ? &buf_fields_[id]
+             : nullptr;
+}
+
+// The element type of a buffer field is the unsigned type of its element
+// width (StateLayout::add_buffer), so storing the low elem_size bytes is
+// exactly StateArena::buf_store's truncate-then-store.
+VM_INLINE bool BytecodeEngine::buf_store_fast(uint32_t id, uint64_t index,
+                                              uint64_t raw) {
+  const BufField* f = in_bounds(id, index);
+  if (f == nullptr) {
+    return false;
+  }
+  shadow_->store_scalar(f->offset + static_cast<uint32_t>(index) * f->elem_size,
+                        f->elem_size, raw);
+  return true;
 }
 
 uint32_t BytecodeEngine::access_index_of(uint64_t cmd) const {
@@ -1696,8 +1456,11 @@ CheckResult BytecodeEngine::check(const IoAccess& io,
   const uint64_t watchdog =
       std::max(config_->watchdog_steps, config_->max_steps + 1);
   // Invariant: the diag is clean at statement/block boundaries; a contained
-  // logic_error mid-statement can leave it dirty, so reset per round.
-  diag_ = EvalDiag{};
+  // logic_error mid-statement can leave it dirty. Every write to a diag
+  // field also sets its kind, so a clean kind means nothing to reset.
+  if (diag_.any()) {
+    diag_ = EvalDiag{};
+  }
   uint64_t steps = 0;
 
   const auto add = [&](Strategy s, SiteId site, std::string detail) {
@@ -1971,9 +1734,8 @@ vm_next:
 
   VM_CASE(kLoadParam) {
     const Insn& ins = code[pc];
-    regs[ins.dst] = sedspec::truncate_to(
-        static_cast<IntType>(ins.t & 7),
-        shadow_->param(static_cast<ParamId>(ins.a)));
+    regs[ins.dst] = vm_trunc(static_cast<IntType>(ins.t & 7),
+                             shadow_->param(static_cast<ParamId>(ins.a)));
     VM_NEXT();
   }
 
@@ -1985,8 +1747,7 @@ vm_next:
       diag_.local = static_cast<LocalId>(ins.a);  // unconditional (eval.cc)
       regs[ins.dst] = 0;
     } else {
-      regs[ins.dst] =
-          sedspec::truncate_to(static_cast<IntType>(ins.t & 7), v);
+      regs[ins.dst] = vm_trunc(static_cast<IntType>(ins.t & 7), v);
     }
     VM_NEXT();
   }
@@ -1997,13 +1758,13 @@ vm_next:
     uint64_t out = 0;
     switch (static_cast<IoField>(ins.a)) {
       case IoField::kAddr:
-        out = sedspec::truncate_to(t, io.addr);
+        out = vm_trunc(t, io.addr);
         break;
       case IoField::kValue:
-        out = sedspec::truncate_to(t, io.value);
+        out = vm_trunc(t, io.value);
         break;
       case IoField::kSize:
-        out = sedspec::truncate_to(t, io.size);
+        out = vm_trunc(t, io.size);
         break;
       case IoField::kIsWrite:
         out = io.is_write ? 1 : 0;  // raw (eval.cc does not truncate)
@@ -2018,48 +1779,52 @@ vm_next:
 
   VM_CASE(kBufLoad) {
     const Insn& ins = code[pc];
-    regs[ins.dst] = sedspec::truncate_to(
-        static_cast<IntType>(ins.t & 7),
-        shadow_->buf_load(static_cast<ParamId>(ins.b), regs[ins.a], &diag_));
+    const uint64_t index = regs[ins.a];
+    uint64_t raw = 0;
+    if (const BufField* f = in_bounds(ins.b, index)) {
+      raw = shadow_->load_scalar(f->offset + static_cast<uint32_t>(index) *
+                                                 f->elem_size,
+                                 f->elem_size);
+    } else {
+      raw = shadow_->buf_load(static_cast<ParamId>(ins.b), index, &diag_);
+    }
+    regs[ins.dst] = vm_trunc(static_cast<IntType>(ins.t & 7), raw);
     VM_NEXT();
   }
 
   VM_CASE(kCast) {
     const Insn& ins = code[pc];
-    regs[ins.dst] = sedspec::truncate_to(
-        static_cast<IntType>(ins.t & 7),
-        vm_pattern(static_cast<IntType>(ins.b & 7), regs[ins.a]));
+    regs[ins.dst] =
+        vm_trunc(static_cast<IntType>(ins.t & 7),
+                 vm_pattern(static_cast<IntType>(ins.b & 7), regs[ins.a]));
     VM_NEXT();
   }
 
   VM_CASE(kNeg) {
     const Insn& ins = code[pc];
     const auto t = static_cast<IntType>(ins.t & 7);
-    const __int128 v =
-        sedspec::interpret(static_cast<IntType>(ins.b & 7), regs[ins.a]);
+    const __int128 v = vm_interp(static_cast<IntType>(ins.b & 7), regs[ins.a]);
     const __int128 truth = -v;
-    if (!sedspec::representable(t, truth)) {
+    if (!vm_repr(t, truth)) {
       diag_.record(EvalDiag::Kind::kIntegerOverflow);
       diag_.type = t;  // unconditional (eval.cc kNeg)
     }
-    regs[ins.dst] = sedspec::wrap_to(t, truth);
+    regs[ins.dst] = vm_wrap(t, truth);
     VM_NEXT();
   }
 
   VM_CASE(kBitNot) {
     const Insn& ins = code[pc];
-    regs[ins.dst] = sedspec::truncate_to(
-        static_cast<IntType>(ins.t & 7),
-        ~vm_pattern(static_cast<IntType>(ins.b & 7), regs[ins.a]));
+    regs[ins.dst] =
+        vm_trunc(static_cast<IntType>(ins.t & 7),
+                 ~vm_pattern(static_cast<IntType>(ins.b & 7), regs[ins.a]));
     VM_NEXT();
   }
 
   VM_CASE(kLogNot) {
     const Insn& ins = code[pc];
     regs[ins.dst] =
-        sedspec::interpret(static_cast<IntType>(ins.b & 7), regs[ins.a]) == 0
-            ? 1
-            : 0;
+        vm_interp(static_cast<IntType>(ins.b & 7), regs[ins.a]) == 0 ? 1 : 0;
     VM_NEXT();
   }
 
@@ -2150,8 +1915,10 @@ vm_next:
 
   VM_CASE(kBufStore) {
     const Insn& ins = code[pc];
-    shadow_->buf_store(static_cast<ParamId>(ins.b), regs[ins.a],
-                       regs[ins.dst], ins.t != 0 ? &diag_ : nullptr);
+    if (!buf_store_fast(ins.b, regs[ins.a], regs[ins.dst])) {
+      shadow_->buf_store(static_cast<ParamId>(ins.b), regs[ins.a],
+                         regs[ins.dst], ins.t != 0 ? &diag_ : nullptr);
+    }
     VM_NEXT();
   }
 
@@ -2184,16 +1951,16 @@ vm_next:
 
   VM_CASE(kLoadScalar) {
     const Insn& ins = code[pc];
-    regs[ins.dst] = sedspec::truncate_to(
-        static_cast<IntType>(ins.t & 7), shadow_->load_scalar(ins.c, ins.b));
+    regs[ins.dst] = vm_trunc(static_cast<IntType>(ins.t & 7),
+                             shadow_->load_scalar(ins.c, ins.b));
     VM_NEXT();
   }
 
   VM_CASE(kStoreScalar) {
     const Insn& ins = code[pc];
-    shadow_->store_scalar(
-        ins.c, ins.b,
-        sedspec::truncate_to(static_cast<IntType>(ins.t & 7), regs[ins.a]));
+    shadow_->store_scalar(ins.c, ins.b,
+                          vm_trunc(static_cast<IntType>(ins.t & 7),
+                                   regs[ins.a]));
     VM_NEXT();
   }
 
@@ -2216,9 +1983,11 @@ vm_next:
     }
     if (ok != 0) {
       for (uint32_t i = 0; i < ins.b; ++i) {
-        shadow_->buf_store(static_cast<ParamId>(entries[i].param),
-                           regs[entries[i].idx_reg],
-                           regs[entries[i].val_reg], nullptr);
+        const BatchEntry& e = entries[i];
+        if (!buf_store_fast(e.param, regs[e.idx_reg], regs[e.val_reg])) {
+          shadow_->buf_store(static_cast<ParamId>(e.param), regs[e.idx_reg],
+                             regs[e.val_reg], nullptr);
+        }
       }
       VM_GOTO(static_cast<uint32_t>(ins.imm));  // join
     }
@@ -2242,5 +2011,6 @@ vm_done:
 #undef VM_DISPATCH
 #undef VM_NEXT
 #undef VM_GOTO
+#undef VM_INLINE
 
 }  // namespace sedspec::checker::engine

@@ -16,14 +16,12 @@
 // (tests/check_engine_test.cc) holds both engines to identical CheckResults
 // across devices, the CVE matrix, and fuzzed specs.
 //
-// Programs are serializable ("SEBC" envelope: magic + version + length +
-// crc32, mirroring spec/serial.h) and re-verified against the attached
-// device's StateLayout/site count before execution: a truncated or
-// bit-flipped program is rejected with a structured error, and a
-// verified-but-garbled program may compute wrong results but can never
-// execute unsafely (all indices are range-checked at attach, the arena
-// clamps escapes, and internal inconsistencies throw CheckerFault into the
-// containment layer).
+// Programs are compiled at attach from specs that already carry the spec
+// envelope's CRC, and verified against the attached device's StateLayout/
+// site count before execution: a verified-but-garbled program may compute
+// wrong results but can never execute unsafely (all indices are
+// range-checked at attach, the arena clamps escapes, and internal
+// inconsistencies throw CheckerFault into the containment layer).
 //
 // Inline caches (one per command-dispatch table) live in the ENGINE, not
 // the program: a program is immutable and shareable, and redeploy
@@ -33,13 +31,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "checker/engine/engine.h"
 #include "spec/es_cfg.h"
-#include "spec/serial.h"
 
 namespace sedspec::checker::engine {
 
@@ -215,29 +211,13 @@ struct BytecodeProgram {
 void verify_program(const BytecodeProgram& p, const sedspec::StateLayout& layout,
                     size_t site_count);
 
-inline constexpr uint32_t kBytecodeMagic = 0x43424553;  // "SEBC"
-inline constexpr uint32_t kBytecodeFormatVersion = 1;
-
-[[nodiscard]] std::vector<uint8_t> serialize(const BytecodeProgram& p);
-
-struct BytecodeLoadResult {
-  std::shared_ptr<const BytecodeProgram> program;
-  spec::LoadError error;
-  [[nodiscard]] bool ok() const { return program != nullptr; }
-};
-
-/// Structured, non-throwing load: integrity envelope first (magic, version,
-/// length, crc32), then structural decode. Corrupt input yields a
-/// LoadError; the program must still pass verify_program at attach.
-[[nodiscard]] BytecodeLoadResult load_program(std::span<const uint8_t> bytes);
-
 class BytecodeEngine final : public CheckEngine {
  public:
   /// Compile-and-attach (the make_engine path).
   BytecodeEngine(const spec::EsCfg* cfg, Device* device,
                  sedspec::StateArena* shadow, const CheckerConfig* config);
 
-  /// Attach a precompiled (possibly deserialized) program. Runs
+  /// Attach a precompiled (possibly shared) program. Runs
   /// verify_program against the device before accepting it.
   BytecodeEngine(std::shared_ptr<const BytecodeProgram> program,
                  Device* device, sedspec::StateArena* shadow,
@@ -260,8 +240,25 @@ class BytecodeEngine final : public CheckEngine {
     bool valid = false;
   };
 
+  // In-bounds fast path for single-element buffer loads and stores,
+  // resolved from the trusted layout at attach(); count == 0 (scalar field
+  // or an element width the arena's fixed-width access does not cover)
+  // always takes the generic StateArena path.
+  struct BufField {
+    uint32_t offset = 0;
+    uint32_t count = 0;
+    uint32_t elem_size = 0;
+  };
+
   void attach();
   [[nodiscard]] uint32_t access_index_of(uint64_t cmd) const;
+  /// The field's table entry when `index` addresses one of its elements,
+  /// else nullptr (anything out of bounds goes to the arena unchanged).
+  [[nodiscard]] inline const BufField* in_bounds(uint32_t id,
+                                                 uint64_t index) const;
+  /// Stores in place and returns true when in bounds; false otherwise,
+  /// leaving the store (diag, incident, corruption) to StateArena.
+  inline bool buf_store_fast(uint32_t id, uint64_t index, uint64_t raw);
 
   std::shared_ptr<const BytecodeProgram> program_;
   Device* device_;
@@ -284,6 +281,7 @@ class BytecodeEngine final : public CheckEngine {
   // the generic StateArena::param() path" (buffer, oversized, or garbled id).
   std::vector<uint32_t> guard_off_;
   std::vector<uint8_t> guard_w_;
+  std::vector<BufField> buf_fields_;
 };
 
 }  // namespace sedspec::checker::engine

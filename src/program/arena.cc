@@ -31,7 +31,7 @@ StateArena::StateArena(const StateLayout* layout)
     : layout_(layout),
       bytes_(layout->arena_size(), 0),
       local_values_(256, 0),
-      local_set_(256, false) {
+      local_set_(256, 0) {
   SEDSPEC_REQUIRE(layout != nullptr);
 }
 
@@ -195,27 +195,9 @@ uint64_t StateArena::buf_peek(ParamId id, uint64_t index) const {
   return load_raw(static_cast<uint32_t>(r.byte_offset), f.elem_size);
 }
 
-bool StateArena::local(LocalId id, uint64_t* out) const {
-  if (id >= local_set_.size() || !local_set_[id]) {
-    return false;
-  }
-  *out = local_values_[id];
-  return true;
-}
-
-void StateArena::set_local(LocalId id, uint64_t raw) {
-  SEDSPEC_REQUIRE(id < local_values_.size());
-  local_values_[id] = raw;
-  local_set_[id] = true;
-}
-
 void StateArena::reset() {
   std::fill(bytes_.begin(), bytes_.end(), 0);
   clear_locals();
-}
-
-void StateArena::clear_locals() {
-  std::fill(local_set_.begin(), local_set_.end(), false);
 }
 
 void StateArena::copy_from(const StateArena& other) {

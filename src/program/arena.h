@@ -12,11 +12,13 @@
 //    the indirect-jump check see a clobbered function pointer).
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "expr/eval.h"
 #include "program/incident.h"
 #include "program/layout.h"
@@ -37,15 +39,28 @@ class StateArena final : public StateAccess {
                  EvalDiag* diag) override;
   void buf_fill(ParamId id, uint64_t index, uint64_t count,
                 EvalDiag* diag) override;
-  bool local(LocalId id, uint64_t* out) const override;
-  void set_local(LocalId id, uint64_t raw) override;
+  // Inline: the check engines read and write locals on every round.
+  bool local(LocalId id, uint64_t* out) const override {
+    if (id >= local_set_.size() || local_set_[id] == 0) {
+      return false;
+    }
+    *out = local_values_[id];
+    return true;
+  }
+  void set_local(LocalId id, uint64_t raw) override {
+    SEDSPEC_REQUIRE(id < local_values_.size());
+    local_values_[id] = raw;
+    local_set_[id] = 1;
+  }
   [[nodiscard]] uint64_t buf_peek(ParamId id, uint64_t index) const override;
 
   // Arena management ------------------------------------------------------
   /// Zeroes the arena and clears locals.
   void reset();
   /// Locals live for one I/O round only.
-  void clear_locals();
+  void clear_locals() {
+    std::memset(local_set_.data(), 0, local_set_.size());
+  }
   /// Copies another arena's bytes (same layout required). Used to initialize
   /// the checker's shadow state from the device at boot, and to snapshot.
   void copy_from(const StateArena& other);
@@ -76,14 +91,45 @@ class StateArena final : public StateAccess {
   /// arena_size() when a bytecode program attaches, so the per-access field
   /// lookup is skipped. Bytes are little-endian raw, exactly as param()/
   /// set_param() read and write scalar fields (the caller applies the
-  /// field-type truncation set_param() would).
+  /// field-type truncation set_param() would). Widths 1/2/4/8 compile to one
+  /// fixed-size move each; any other width takes the variable-length copy.
   [[nodiscard]] uint64_t load_scalar(uint32_t offset, uint32_t size) const {
-    uint64_t v = 0;
-    std::memcpy(&v, bytes_.data() + offset, size);
-    return v;
+    const uint8_t* src = bytes_.data() + offset;
+    switch (size) {
+      case 1:
+        return *src;
+      case 2:
+        return load_fixed<uint16_t>(src);
+      case 4:
+        return load_fixed<uint32_t>(src);
+      case 8:
+        return load_fixed<uint64_t>(src);
+      default: {
+        uint64_t v = 0;
+        std::memcpy(&v, src, size);
+        return v;
+      }
+    }
   }
   void store_scalar(uint32_t offset, uint32_t size, uint64_t raw) {
-    std::memcpy(bytes_.data() + offset, &raw, size);
+    uint8_t* dst = bytes_.data() + offset;
+    switch (size) {
+      case 1:
+        *dst = static_cast<uint8_t>(raw);
+        break;
+      case 2:
+        store_fixed(dst, static_cast<uint16_t>(raw));
+        break;
+      case 4:
+        store_fixed(dst, static_cast<uint32_t>(raw));
+        break;
+      case 8:
+        store_fixed(dst, raw);
+        break;
+      default:
+        std::memcpy(dst, &raw, size);
+        break;
+    }
   }
 
  private:
@@ -102,13 +148,24 @@ class StateArena final : public StateAccess {
   void report(IncidentKind kind, ParamId field, uint64_t detail,
               const std::string& note) const;
 
+  template <typename T>
+  [[nodiscard]] static uint64_t load_fixed(const uint8_t* src) {
+    T v;
+    std::memcpy(&v, src, sizeof(T));  // little-endian host
+    return v;
+  }
+  template <typename T>
+  static void store_fixed(uint8_t* dst, T v) {
+    std::memcpy(dst, &v, sizeof(T));
+  }
+
   [[nodiscard]] uint64_t load_raw(uint32_t offset, uint32_t size) const;
   void store_raw(uint32_t offset, uint32_t size, uint64_t raw);
 
   const StateLayout* layout_;
   std::vector<uint8_t> bytes_;
   std::vector<uint64_t> local_values_;
-  std::vector<bool> local_set_;
+  std::vector<uint8_t> local_set_;  // 1 = the local holds a value
   IncidentFn incident_fn_;
 };
 

@@ -2,10 +2,9 @@
 // observationally identical to the reference interpreter — same violations
 // (including detail strings), same traversal step counts, same shadow-state
 // bytes, same exceptions — on every device, on hostile input, on the CVE
-// exploit matrix, and on fuzzed machine-generated specs. The serialized
-// SEBC artifact has the same integrity posture as the spec envelope:
-// truncation and corruption yield structured load errors, and a decoded
-// program must still pass the verifier before it can attach.
+// exploit matrix, and on fuzzed machine-generated specs. A compiled program
+// must pass the verifier before it can attach, and a garbled program that
+// passes it must still run memory-safely.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -453,7 +452,9 @@ TEST(CheckEngineFuzz, RandomSpecsStayInLockstep) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. SEBC serialization: round-trip fidelity and corruption containment.
+// 4. Program containment: the verifier rejects corrupt programs, and a
+//    garbled program that passes it still runs memory-safely. (The fixture
+//    keeps its historical name so the test IDs stay stable.)
 // ---------------------------------------------------------------------------
 
 class CheckEngineSerial : public ::testing::Test {
@@ -463,81 +464,13 @@ class CheckEngineSerial : public ::testing::Test {
     es_ = pipeline::build_spec(wl_->device(), [&] { wl_->training(); });
     cfg_.engine = EngineKind::kBytecode;
     program_ = checker::engine::compile_program(es_, wl_->device(), cfg_);
-    bytes_ = checker::engine::serialize(*program_);
   }
 
   std::unique_ptr<guest::DeviceWorkload> wl_;
   spec::EsCfg es_;
   CheckerConfig cfg_;
   std::shared_ptr<const checker::engine::BytecodeProgram> program_;
-  std::vector<uint8_t> bytes_;
 };
-
-TEST_F(CheckEngineSerial, RoundTripRunsIdenticallyToFreshCompile) {
-  const auto loaded = checker::engine::load_program(bytes_);
-  ASSERT_TRUE(loaded.ok()) << loaded.error.describe();
-  ASSERT_EQ(loaded.program->code.size(), program_->code.size());
-  ASSERT_EQ(loaded.program->reg_count, program_->reg_count);
-  ASSERT_EQ(loaded.program->device_name, program_->device_name);
-
-  // A precompiled engine from the deserialized program must stay in
-  // lockstep with one compiled directly from the spec.
-  StateArena sa(&wl_->device().program().layout());
-  StateArena sb(&wl_->device().program().layout());
-  sa.copy_from(wl_->device().state());
-  sb.copy_from(wl_->device().state());
-  BytecodeEngine fresh(&es_, &wl_->device(), &sa, &cfg_);
-  BytecodeEngine canned(loaded.program, &wl_->device(), &sb, &cfg_);
-  Rng rng(99);
-  for (int i = 0; i < 200; ++i) {
-    IoAccess io;
-    io.space = IoSpace::kPio;
-    io.addr = rng.below(8);
-    io.size = 1;
-    io.value = rng.next_u64() & 0xff;
-    io.is_write = rng.below(2) == 0;
-    const RoundOutcome a = one_round(fresh, sa, io);
-    const RoundOutcome b = one_round(canned, sb, io);
-    expect_lockstep(a, b, sa, sb, "roundtrip round " + std::to_string(i));
-  }
-}
-
-TEST_F(CheckEngineSerial, TruncationYieldsStructuredError) {
-  const std::vector<size_t> cuts = {0,  1,  3,  7,  8,  15,
-                                    16, bytes_.size() / 2, bytes_.size() - 1};
-  for (const size_t cut : cuts) {
-    std::vector<uint8_t> t(bytes_.begin(),
-                           bytes_.begin() + static_cast<ptrdiff_t>(cut));
-    const auto r = checker::engine::load_program(t);
-    EXPECT_FALSE(r.ok()) << "cut=" << cut;
-    EXPECT_NE(r.error.status, spec::LoadStatus::kOk) << "cut=" << cut;
-  }
-}
-
-TEST_F(CheckEngineSerial, PayloadBitFlipsCaughtByCrc) {
-  Rng rng(0xc5c);
-  for (int i = 0; i < 32; ++i) {
-    std::vector<uint8_t> t = bytes_;
-    // Skip the 16-byte envelope: a payload flip must be a CRC mismatch.
-    const size_t at = 16 + rng.below(t.size() - 16);
-    t[at] ^= static_cast<uint8_t>(1u << rng.below(8));
-    const auto r = checker::engine::load_program(t);
-    ASSERT_FALSE(r.ok()) << "flip at " << at;
-    EXPECT_EQ(r.error.status, spec::LoadStatus::kCrcMismatch)
-        << "flip at " << at;
-  }
-}
-
-TEST_F(CheckEngineSerial, BadMagicAndVersionSkewRejected) {
-  std::vector<uint8_t> bad_magic = bytes_;
-  bad_magic[0] ^= 0xff;
-  EXPECT_EQ(checker::engine::load_program(bad_magic).error.status,
-            spec::LoadStatus::kBadMagic);
-  std::vector<uint8_t> skew = bytes_;
-  skew[4] ^= 0x04;  // format version word
-  EXPECT_EQ(checker::engine::load_program(skew).error.status,
-            spec::LoadStatus::kVersionSkew);
-}
 
 TEST_F(CheckEngineSerial, VerifierRejectsCorruptDecodedPrograms) {
   const StateLayout& layout = wl_->device().program().layout();
